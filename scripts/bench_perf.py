@@ -19,11 +19,10 @@ root:
   is the per-request overhead of digesting, scheduling, and one store
   read, so it is gated).
 * ``fabric`` — cold sweep jobs/sec through the persistent-worker
-  fabric at 1/2/4/all-cores pool sizes against a per-job-spawn
-  single-process baseline, plus the pre-warm hit rate of a sequential
-  sweep (the fraction of cells speculation had ready before they were
-  asked for).  Recorded in history, not gated (multiprocess scheduling
-  noise).
+  fabric at 1/2/4/all-cores pool sizes, plus the pre-warm hit rate of a
+  sequential sweep (the fraction of cells speculation had ready before
+  they were asked for).  Recorded in history, not gated (multiprocess
+  scheduling noise).
 * ``http`` — served-requests/sec through the full HTTP front end
   (``repro-serve serve``): the loopback server driven by the
   profile-based load generator (:mod:`repro.service.loadgen`, mixed
@@ -290,7 +289,7 @@ def bench_service_chaos(seed: int = 1, jobs: int = CHAOS_JOBS) -> dict:
             )
             with ServiceSession(
                 store_dir=store, max_pending=jobs + 8, max_workers=2,
-                worker_mode="process", retries=10, stall_timeout=5.0,
+                worker_mode="fabric", retries=10, stall_timeout=5.0,
                 chaos=chaos, breaker_threshold=None,
             ) as session:
                 started = time.perf_counter()
@@ -318,13 +317,11 @@ def bench_fabric(seed: int = 1, jobs: int = FABRIC_JOBS) -> dict:
 
     The scaling curve runs one sweep-shaped batch (one workload family,
     distinct seeds — what the affinity router spreads across cells)
-    cold through the persistent-worker fabric at each pool size, against
-    a per-job-spawn single process-worker baseline: the number the
-    fabric exists to beat, since a per-job pool pays interpreter start
-    and workload build on every job.  The pre-warm figure runs the same
-    sweep *sequentially* (the queue empties between cells, which is
-    when speculation is allowed to run) and reports how many cells the
-    pre-warmer had ready before the sweep asked.  Recorded for
+    cold through the persistent-worker fabric at each pool size.  The
+    pre-warm figure runs the same sweep *sequentially* (the queue
+    empties between cells, which is when speculation is allowed to run)
+    and reports how many cells the pre-warmer had ready before the
+    sweep asked.  Recorded for
     trajectory, not gated — multiprocess scheduling on a shared box is
     too noisy to threshold.
     """
@@ -381,9 +378,6 @@ def bench_fabric(seed: int = 1, jobs: int = FABRIC_JOBS) -> dict:
         "jobs": jobs,
         "scale": SERVICE_SCALE,
         "all_cores": os.cpu_count() or 1,
-        "process_1_jobs_per_sec": round(
-            cold_run(max_workers=1, worker_mode="process"), 2
-        ),
     }
     counts = list(FABRIC_WORKER_COUNTS)
     if out["all_cores"] not in counts:
@@ -682,8 +676,6 @@ _GATED = [
 #: Ungated metrics that still belong in the history trajectory (too
 #: scheduler-noisy to threshold, too load-bearing to lose).
 _HISTORY_EXTRA = [
-    (("fabric", "process_1_jobs_per_sec"),
-     "per-job-spawn 1-process cold jobs/sec"),
     (("fabric", "fabric_4_jobs_per_sec"), "fabric 4-worker cold jobs/sec"),
     (("fabric", "prewarm", "hit_rate"), "fabric pre-warm hit rate"),
     (("http", "cold_served_per_sec"), "http cold served/sec"),

@@ -21,8 +21,9 @@ periodically and ``--resume-from`` continues each run from its last
 snapshot, bit-identically (see :mod:`repro.snapshot`).
 
 Exit codes: 0 — everything completed; 2 — bad invocation, corrupt or
-mismatched checkpoint/snapshot; 3 — completed partially (crash-safe
-sweeps skipped failing jobs; survivors' results are valid); 4 — the
+mismatched checkpoint/snapshot; 3 — completed partially (a
+``--service-store`` sweep skipped failing cells; survivors' results are
+valid, and ``--resume`` re-runs the experiments that skipped any); 4 — the
 wall-clock watchdog expired and state was snapshotted (resume with
 ``--resume-from``).
 """
@@ -37,7 +38,6 @@ import time
 
 from repro import perf
 from repro.core import invariants
-from repro.experiments import parallel as _parallel
 from repro.experiments import (
     ablation,
     faultsweep,
@@ -225,11 +225,10 @@ def main(argv=None) -> int:
         help="worker count for --service-store (default: 1)",
     )
     parser.add_argument(
-        "--service-mode", choices=("thread", "process", "fabric"),
+        "--service-mode", choices=("thread", "fabric"),
         default="thread",
-        help="worker tier for --service-store: in-process threads, "
-             "per-job processes, or the persistent multi-process fabric "
-             "(default: thread)",
+        help="worker tier for --service-store: in-process threads or "
+             "the persistent multi-process fabric (default: thread)",
     )
     parser.add_argument(
         "--chart", action="store_true",
@@ -275,7 +274,6 @@ def main(argv=None) -> int:
     )
     previous_profile = perf.set_enabled(args.profile or perf.enabled())
     previous_policy = set_policy(policy) if policy is not None else None
-    _parallel.drain_sweep_failures()  # stale failures from earlier calls
     session = None
     if args.service_store:
         from repro.service.client import ServiceSession
@@ -303,6 +301,7 @@ def main(argv=None) -> int:
             started = time.time()
             if args.profile:
                 perf.RECORDER.reset()
+            left_out = session.left_out if session is not None else 0
             result = run(**kwargs)
             elapsed = time.time() - started
             text = result.render()
@@ -316,13 +315,15 @@ def main(argv=None) -> int:
                     text += "\n\n" + chart
             text += "\n\n[%s completed in %.1fs]\n" % (name, elapsed)
             print(text)
+            partial = session is not None and session.left_out > left_out
             if args.out:
                 # Append immediately: a crash on a later experiment loses
                 # nothing that already finished.
                 with open(args.out, "a") as handle:
                     handle.write(text + "\n")
-                completed[name] = {"elapsed": elapsed, "text": text}
-                _save_checkpoint(args.out, fingerprint, completed)
+                if not partial:  # --resume re-runs a partial experiment
+                    completed[name] = {"elapsed": elapsed, "text": text}
+                    _save_checkpoint(args.out, fingerprint, completed)
     except (CheckpointError, SnapshotError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
@@ -338,7 +339,7 @@ def main(argv=None) -> int:
             status = session.status()
             session.close()
             print(status.render())
-    failures = _parallel.drain_sweep_failures()
+    failures = session.failures if session is not None else []
     if failures:
         summary = "[partial: %d job%s failed; survivors' results are " \
             "complete]\n" % (len(failures), "" if len(failures) == 1 else "s")

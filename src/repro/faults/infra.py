@@ -11,7 +11,7 @@ converge to digest-identical results.
 
 Three fault families, all driven by seeded, replayable decisions:
 
-* **Worker kills** — a supervised process worker SIGKILLs *itself*
+* **Worker kills** — a supervised fabric worker SIGKILLs *itself*
   mid-job (an uncatchable, genuine death; the scheduler sees a worker
   crash, not a cooperative exception).  Decisions are keyed by
   ``(chaos seed, digest, attempt)``, so a killed job's retry rolls a
@@ -168,16 +168,19 @@ def fabric_action(chaos: dict, attempt: int = 1) -> tuple:
     return (None, 0.0)
 
 
-def arm_worker_chaos(spec: dict) -> None:
+def arm_worker_chaos(spec: dict):
     """Apply this attempt's fault decision inside a worker process.
 
-    ``kill`` starts a daemon timer that SIGKILLs the process after the
-    decided delay — if the job finishes first, the worker exits normally
-    and the decision was a near-miss, exactly like real transient
-    failures.  ``stall`` wedges the worker forever with its heartbeat
-    already silenced (the heartbeat thread is never started for a
-    stalled worker: :func:`execute_job` arms chaos *after* writing the
-    initial beat, so the reaper sees one beat and then silence).
+    Returns a disarm callable for the end of the job.  ``kill`` starts a
+    daemon timer that SIGKILLs the process after the decided delay — if
+    the job finishes first, the caller disarms the timer and the
+    decision was a near-miss, exactly like real transient failures.  (A
+    fabric worker outlives its job, so an undisarmed timer would kill
+    whatever job the worker runs next.)  ``stall`` wedges the worker
+    forever with its heartbeat already silenced (the heartbeat thread is
+    never started for a stalled worker: :func:`execute_job` arms chaos
+    *after* writing the initial beat, so the reaper sees one beat and
+    then silence).
     Fabric cells additionally roll :func:`fabric_action` against their
     own identity; either decision alone is enough to arm the kill.
     """
@@ -194,9 +197,11 @@ def arm_worker_chaos(spec: dict) -> None:
         timer = threading.Timer(delay, die)
         timer.daemon = True
         timer.start()
-    elif action == "stall":
+        return timer.cancel
+    if action == "stall":
         while True:  # wedged: only the reaper's SIGKILL ends this worker
             time.sleep(0.05)
+    return lambda: None
 
 
 # -- store corruption ---------------------------------------------------------

@@ -25,28 +25,27 @@ the substrate the ROADMAP's "heavy traffic" north star builds on:
   result transport, and Prometheus ``/metrics`` + ``/health``.
 * :mod:`repro.service.loadgen` — profile-driven load generator for the
   HTTP tier (named traffic mixes × concurrency × duration).
-* :mod:`repro.service.fabric` — :class:`FabricCoordinator`: a pool of
-  persistent worker *processes* fed from per-worker queues with
-  content-affinity routing, work stealing, crash respawn, and graceful
-  per-worker drain (``repro-serve ... --fabric-workers N``).
-* :mod:`repro.service.shardmap` — :class:`ShardMap` /
-  :class:`ShardedResultStore`: the result cache consistent-hash-sharded
-  over replicated store nodes, with checksummed reads falling back
-  across replicas and a bounded-movement ``rebalance``
-  (``repro-serve rebalance``).
+* :mod:`repro.service.workers` — :func:`execute_job` (one job spec to
+  one outcome) and the thread :class:`WorkerPool` used by the library,
+  the tests and the default server.
+* :mod:`repro.service.fabric` — :class:`FabricCoordinator`, the one
+  supervised worker tier: a pool of persistent worker *processes* fed
+  from per-worker queues with content-affinity routing, work stealing,
+  crash respawn, and graceful per-worker drain
+  (``repro-serve ... --worker-mode fabric --workers N``).
 * :mod:`repro.service.prewarm` — :class:`Prewarmer`: speculative
   pre-computation of neighbouring sweep cells at a background priority
   class, with prefetcher-style predicted/issued/useful/wasted counters.
 * :mod:`repro.service.cli` — the ``repro-serve`` command.
 
-The tier is *crash-only* (PR 6): process workers are supervised by
-heartbeat (stalled ones are reaped and their jobs retried), jobs that
+The tier is *crash-only*: fabric workers are supervised by heartbeat
+(stalled ones are reaped and their jobs retried), jobs that
 repeatedly kill their workers are quarantined as poison and never
 resubmitted, damaged store entries are quarantined — never deleted —
 and repairable ones recomputed (:meth:`ResultStore.scrub`), and a
 circuit breaker sheds sweep-class load under infrastructure failure
 storms while interactive requests keep flowing.  Failures carry stable
-taxonomy codes (:data:`repro.experiments.parallel.INFRASTRUCTURE_CODES`)
+taxonomy codes (:data:`repro.failures.INFRASTRUCTURE_CODES`)
 surfaced by ``repro-serve status``.  :mod:`repro.faults.infra` injects
 seeded chaos (worker kills, heartbeat stalls, store corruption) to
 prove all of it.
@@ -89,12 +88,6 @@ from repro.service.scheduler import (
     SimulationService,
     merge_stats_trees,
 )
-from repro.service.shardmap import (
-    RebalanceReport,
-    ShardedResultStore,
-    ShardMap,
-    open_store,
-)
 from repro.service.store import (
     RESULT_STORE_VERSION,
     ResultStore,
@@ -118,7 +111,6 @@ __all__ = [
     "Prewarmer",
     "Priority",
     "QueueFull",
-    "RebalanceReport",
     "ResultStore",
     "RetryPolicy",
     "ScrubReport",
@@ -130,8 +122,6 @@ __all__ = [
     "ServiceRejected",
     "ServiceSession",
     "ServiceStatus",
-    "ShardMap",
-    "ShardedResultStore",
     "SimRequest",
     "SimulationService",
     "StoreStats",
@@ -141,7 +131,6 @@ __all__ = [
     "encode_result",
     "merge_stats_trees",
     "neighbours",
-    "open_store",
     "request_digest",
     "request_from_fingerprint",
     "sweep_requests",

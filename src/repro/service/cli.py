@@ -7,8 +7,6 @@ Subcommands::
     repro-serve jobs [--port P] [--state S] [--code C] [--limit N] [--json]
     repro-serve status [--store DIR] [--json]
     repro-serve scrub [--store DIR] [--repair] [--workers N] [--json]
-    repro-serve rebalance [--store DIR] [--add-node NAME]
-                          [--remove-node NAME] [--json]
 
 ``batch`` runs a JSON request file through a :class:`SimulationService`
 and prints one line per request plus the service status report.  A batch
@@ -59,17 +57,12 @@ damaged ones to the quarantine directory (never deleting — forensics
 first).  With ``--repair``, entries whose fingerprint survived are
 recomputed through a local service and verified back into the store.
 
-Distribution (:mod:`repro.service.fabric` / ``shardmap``): ``--fabric-workers N``
-on ``batch`` and ``serve`` runs jobs through the multi-process fabric
-coordinator (shorthand for ``--worker-mode fabric --workers N``);
-``--store-nodes N`` shards the result store across N consistent-hash
-nodes (``--replication R`` keeps R copies of every entry); ``--prewarm``
-turns on the sweep-cell pre-warmer; ``--adaptive-rate`` lets the HTTP
-rate limiter track the scheduler's drain rate under backlog.
-``rebalance`` adds/removes store nodes and moves the bounded set of
-keys whose placement changed (the runbook lives in
-docs/architecture.md).  ``status`` and ``scrub`` open sharded and
-plain stores alike.
+Worker tier: ``--worker-mode thread`` (the default) runs jobs on
+threads in this process; ``--worker-mode fabric --workers N`` runs them
+on N persistent, heartbeat-supervised worker processes
+(:mod:`repro.service.fabric`).  ``--prewarm`` turns on the sweep-cell
+pre-warmer; ``--adaptive-rate`` lets the HTTP rate limiter track the
+scheduler's drain rate under backlog.
 
 Exit codes: 0 — all requests served (``batch``) / store clean or fully
 repaired (``scrub``); 2 — bad invocation or malformed batch file; 3 —
@@ -136,30 +129,6 @@ def _result_line(result) -> str:
     return type(result).__name__
 
 
-def _resolve_pool(args):
-    """``(workers, worker_mode)`` after the ``--fabric-workers`` shorthand."""
-    if getattr(args, "fabric_workers", None):
-        return args.fabric_workers, "fabric"
-    return args.workers, args.worker_mode
-
-
-def _prepare_store(args) -> None:
-    """Shard the store up front when ``--store-nodes`` asks for it.
-
-    Constructing the sharded store persists its ``shardmap.json``; from
-    then on every opener (this process's scheduler, a later ``status``
-    or ``scrub``) sees the same membership.  A store that is already
-    sharded keeps its persisted map — the flags never re-shard.
-    """
-    if getattr(args, "store_nodes", None):
-        from repro.service.shardmap import ShardedResultStore
-
-        ShardedResultStore(
-            args.store, nodes=args.store_nodes,
-            replication=args.replication,
-        )
-
-
 def _cmd_batch(args) -> int:
     from repro.service.client import ServiceSession
     from repro.service.request import request_digest
@@ -170,12 +139,10 @@ def _cmd_batch(args) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
 
-    workers, worker_mode = _resolve_pool(args)
-    _prepare_store(args)
     session = ServiceSession(
         store_dir=args.store,
-        max_workers=workers,
-        worker_mode=worker_mode,
+        max_workers=args.workers,
+        worker_mode=args.worker_mode,
         max_pending=args.max_pending,
         job_timeout=args.timeout,
         retries=args.retries,
@@ -248,14 +215,11 @@ def _cmd_serve(args) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
 
-    workers, worker_mode = _resolve_pool(args)
-    _prepare_store(args)
-
     async def serve() -> int:
         service = SimulationService(
             store=args.store,
-            max_workers=workers,
-            worker_mode=worker_mode,
+            max_workers=args.workers,
+            worker_mode=args.worker_mode,
             max_pending=args.max_pending,
             job_timeout=args.timeout,
             retries=args.retries,
@@ -275,8 +239,8 @@ def _cmd_serve(args) -> int:
         await server.start()
         print(
             "repro-serve: http://%s:%d (store %s, %d %s worker%s, auth %s)"
-            % (server.host, server.port, args.store, workers,
-               worker_mode, "" if workers == 1 else "s",
+            % (server.host, server.port, args.store, args.workers,
+               args.worker_mode, "" if args.workers == 1 else "s",
                "on" if tokens else "off"),
             flush=True,
         )
@@ -382,10 +346,9 @@ def _last_run_stats(store) -> dict | None:
 
 
 def _cmd_status(args) -> int:
-    from repro.service.shardmap import open_store
+    from repro.service.store import ResultStore
 
-    store = open_store(args.store)
-    shard_map = getattr(store, "map", None)
+    store = ResultStore(args.store)
     entries = store.entries()
     quarantine = store.quarantine_summary()
     jobs = _job_quarantine_records(store)
@@ -397,10 +360,6 @@ def _cmd_status(args) -> int:
                 "store": {
                     "directory": store.directory,
                     "entries": len(entries),
-                    "nodes": list(shard_map.nodes) if shard_map else None,
-                    "replication": (
-                        shard_map.replication if shard_map else None
-                    ),
                 },
                 "quarantine": {
                     "entries": quarantine,
@@ -415,11 +374,6 @@ def _cmd_status(args) -> int:
 
     print("result store %s: %d cached result%s"
           % (store.directory, len(entries), "" if len(entries) == 1 else "s"))
-    if shard_map is not None:
-        print("sharded across %d node%s (replication %d): %s"
-              % (len(shard_map.nodes),
-                 "" if len(shard_map.nodes) == 1 else "s",
-                 shard_map.replication, ", ".join(shard_map.nodes)))
     for digest in entries[: args.limit]:
         print("  %s" % digest)
     if len(entries) > args.limit:
@@ -445,11 +399,10 @@ def _cmd_status(args) -> int:
 
 
 def _cmd_scrub(args) -> int:
-    from repro.service.shardmap import open_store
-
     if not args.repair:
-        store = open_store(args.store)
-        report = store.scrub()
+        from repro.service.store import ResultStore
+
+        report = ResultStore(args.store).scrub()
     else:
         from repro.service.client import ServiceSession
 
@@ -467,32 +420,6 @@ def _cmd_scrub(args) -> int:
     else:
         print(report.render())
     return EXIT_PARTIAL if report.unrepaired else EXIT_CLEAN
-
-
-def _cmd_rebalance(args) -> int:
-    from repro.service.shardmap import ShardedResultStore, open_store
-
-    store = open_store(args.store)
-    if not isinstance(store, ShardedResultStore):
-        print("error: %s is not a sharded store (no shardmap.json); "
-              "create one with batch/serve --store-nodes" % args.store,
-              file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        for name in args.add_node or []:
-            store.add_node(name)
-        for name in args.remove_node or []:
-            store.remove_node(name)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
-    report = store.rebalance()
-    if args.json:
-        json.dump(report.as_dict(), sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        print(report.render())
-    return EXIT_PARTIAL if report.unreadable else EXIT_CLEAN
 
 
 def main(argv=None) -> int:
@@ -516,23 +443,9 @@ def main(argv=None) -> int:
         help="worker count (default: 1)",
     )
     batch.add_argument(
-        "--worker-mode", choices=("thread", "process", "fabric"),
+        "--worker-mode", choices=("thread", "fabric"),
         default="thread",
         help="worker tier kind (default: thread)",
-    )
-    batch.add_argument(
-        "--fabric-workers", type=int, default=None, metavar="N",
-        help="shorthand for --worker-mode fabric --workers N: run jobs "
-             "through a pool of N persistent worker processes",
-    )
-    batch.add_argument(
-        "--store-nodes", type=int, default=None, metavar="N",
-        help="shard the result store across N consistent-hash nodes "
-             "(ignored if the store is already sharded)",
-    )
-    batch.add_argument(
-        "--replication", type=int, default=1, metavar="R",
-        help="replica count per entry when sharding (default: 1)",
     )
     batch.add_argument(
         "--max-pending", type=int, default=256,
@@ -548,8 +461,8 @@ def main(argv=None) -> int:
     )
     batch.add_argument(
         "--stall-timeout", type=float, default=None, metavar="SECONDS",
-        help="kill and retry a process worker whose heartbeat goes "
-             "silent this long (process/fabric modes)",
+        help="kill and retry a fabric worker whose heartbeat goes "
+             "silent this long (fabric mode)",
     )
     batch.add_argument(
         "--snapshot-every", type=int, default=None, metavar="N",
@@ -582,23 +495,9 @@ def main(argv=None) -> int:
         help="worker count (default: 2)",
     )
     serve.add_argument(
-        "--worker-mode", choices=("thread", "process", "fabric"),
+        "--worker-mode", choices=("thread", "fabric"),
         default="thread",
         help="worker tier kind (default: thread)",
-    )
-    serve.add_argument(
-        "--fabric-workers", type=int, default=None, metavar="N",
-        help="shorthand for --worker-mode fabric --workers N: run jobs "
-             "through a pool of N persistent worker processes",
-    )
-    serve.add_argument(
-        "--store-nodes", type=int, default=None, metavar="N",
-        help="shard the result store across N consistent-hash nodes "
-             "(ignored if the store is already sharded)",
-    )
-    serve.add_argument(
-        "--replication", type=int, default=1, metavar="R",
-        help="replica count per entry when sharding (default: 1)",
     )
     serve.add_argument(
         "--prewarm", action="store_true",
@@ -619,7 +518,7 @@ def main(argv=None) -> int:
     )
     serve.add_argument(
         "--stall-timeout", type=float, default=None, metavar="SECONDS",
-        help="heartbeat reaper threshold (process/fabric modes)",
+        help="heartbeat reaper threshold (fabric mode)",
     )
     serve.add_argument(
         "--snapshot-every", type=int, default=None, metavar="N",
@@ -727,7 +626,7 @@ def main(argv=None) -> int:
         help="worker count for --repair recomputation (default: 1)",
     )
     scrub.add_argument(
-        "--worker-mode", choices=("thread", "process", "fabric"),
+        "--worker-mode", choices=("thread", "fabric"),
         default="thread",
         help="worker tier kind for --repair (default: thread)",
     )
@@ -736,30 +635,6 @@ def main(argv=None) -> int:
         help="emit the scrub report as JSON",
     )
     scrub.set_defaults(func=_cmd_scrub)
-
-    rebalance = sub.add_parser(
-        "rebalance",
-        help="move sharded-store keys to their mapped nodes "
-             "(optionally changing membership first)",
-    )
-    rebalance.add_argument(
-        "--store", default=DEFAULT_STORE,
-        help="sharded result-store directory (default: %(default)s)",
-    )
-    rebalance.add_argument(
-        "--add-node", action="append", metavar="NAME",
-        help="join NAME to the ring before rebalancing; repeatable",
-    )
-    rebalance.add_argument(
-        "--remove-node", action="append", metavar="NAME",
-        help="drop NAME from the ring before rebalancing (its directory "
-             "is drained, not deleted); repeatable",
-    )
-    rebalance.add_argument(
-        "--json", action="store_true",
-        help="emit the rebalance report as JSON",
-    )
-    rebalance.set_defaults(func=_cmd_rebalance)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -62,8 +62,8 @@ from dataclasses import dataclass
 
 from repro.experiments import common as _common
 from repro.params import MachineConfig
-from repro.service.request import Priority, SimRequest
-from repro.service.scheduler import SimulationService
+from repro.service.request import Priority, SimRequest, request_digest
+from repro.service.scheduler import JobFailed, SimulationService
 
 __all__ = [
     "AsyncServiceClient",
@@ -120,24 +120,49 @@ async def sweep_speedups(
     baseline_config: MachineConfig | None = None,
     warmup_fraction: float = 0.25,
     priority: Priority = Priority.SWEEP,
+    *,
+    failures: dict,
 ) -> dict:
-    """``{benchmark: speedup}`` for one sweep configuration, via *service*."""
+    """``{benchmark: speedup}`` for one sweep configuration, via *service*.
+
+    A failed cell does not stop the sweep: its benchmark is left out of
+    the result and its :class:`~repro.failures.JobFailure` is recorded in
+    *failures* under the cell's request digest.  A benchmark whose cell
+    is already in *failures* is left out without being resubmitted, so a
+    failing baseline is tried once, not once per sweep configuration.
+    """
     pairs = sweep_requests(
         config, benchmarks, scale, seed=seed,
         baseline_config=baseline_config, warmup_fraction=warmup_fraction,
     )
     jobs = []
     for name, baseline_req, enhanced_req in pairs:
+        digests = (request_digest(baseline_req), request_digest(enhanced_req))
+        if any(digest in failures for digest in digests):
+            continue
         jobs.append((
             name,
+            digests,
             service.submit(baseline_req, priority),
             service.submit(enhanced_req, priority),
         ))
     speedups = {}
-    for name, baseline_job, enhanced_job in jobs:
-        baseline = await baseline_job.future
-        enhanced = await enhanced_job.future
-        speedups[name] = enhanced.speedup_over(baseline)
+    for name, digests, baseline_job, enhanced_job in jobs:
+        outcomes = await asyncio.gather(
+            baseline_job.future, enhanced_job.future, return_exceptions=True
+        )
+        failed = [
+            (digest, outcome) for digest, outcome in zip(digests, outcomes)
+            if isinstance(outcome, BaseException)
+        ]
+        if not failed:
+            baseline, enhanced = outcomes
+            speedups[name] = enhanced.speedup_over(baseline)
+            continue
+        digest, error = failed[0]
+        if not isinstance(error, JobFailed):
+            raise error
+        failures[digest] = error.failure
     return speedups
 
 
@@ -153,6 +178,11 @@ class ServiceSession:
 
     All service bookkeeping stays on the background loop thread; the
     calling thread only ever blocks on completed futures.
+
+    :meth:`speedups` continues past failed cells: each failed cell's
+    :class:`~repro.failures.JobFailure` is listed once in
+    :attr:`failures`, and :attr:`left_out` counts the sweep entries
+    dropped for them.  The experiments runner reports both (exit 3).
     """
 
     def __init__(
@@ -173,6 +203,15 @@ class ServiceSession:
         self.service: SimulationService | None = None
         self._installed_previous = None
         self._installed = False
+        #: Request digest -> JobFailure of each cell that failed.
+        self._failed: dict = {}
+        #: Benchmarks :meth:`speedups` left out, summed over its calls.
+        self.left_out = 0
+
+    @property
+    def failures(self) -> list:
+        """The JobFailure of every failed cell, once each."""
+        return list(self._failed.values())
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -274,13 +313,20 @@ class ServiceSession:
         seed: int = 1,
         baseline_config: MachineConfig | None = None,
     ) -> dict:
-        """Blocking :func:`sweep_speedups` — the speedup-provider shape."""
-        return self._call(
+        """Blocking :func:`sweep_speedups` — the speedup-provider shape.
+
+        Returns the surviving benchmarks; failed cells land in
+        :attr:`failures`.
+        """
+        speedups = self._call(
             sweep_speedups(
                 self.service, config, benchmarks, scale,
                 seed=seed, baseline_config=baseline_config,
+                failures=self._failed,
             )
         )
+        self.left_out += len(set(benchmarks) - set(speedups))
+        return speedups
 
     def status(self):
         async def snap():

@@ -1,14 +1,13 @@
 """Fabric tier: one coordinator, N persistent pull-based worker processes.
 
-:class:`FabricCoordinator` is a drop-in worker pool for the scheduler
-(same protocol as :class:`~repro.service.workers.WorkerPool`: ``submit``
-/ ``kill`` / ``live_workers`` / ``shutdown``), but instead of paying a
-process spawn per job it keeps N long-lived worker processes and feeds
-each one job at a time.  A persistent worker amortises interpreter
-start-up *and* keeps the in-process workload image cache warm across
-jobs — on a sweep (many machine configs over one workload) that cache
-is most of the per-job cost, which is where the fabric's throughput win
-comes from even before multi-core parallelism.
+:class:`FabricCoordinator` is the scheduler's supervised worker pool
+(same ``submit`` / ``kill`` / ``shutdown`` protocol as the thread
+:class:`~repro.service.workers.WorkerPool`).  It keeps N long-lived
+worker processes and feeds each one job at a time.  A persistent worker
+amortises interpreter start-up *and* keeps the in-process workload image
+cache warm across jobs — on a sweep (many machine configs over one
+workload) that cache is most of the per-job cost, which is where the
+fabric's throughput comes from even before multi-core parallelism.
 
 Queue discipline — pull-based, coordinator-owned:
 
@@ -20,15 +19,15 @@ Queue discipline — pull-based, coordinator-owned:
   whose own deque is empty takes the oldest job from the longest
   sibling backlog.
 * Workers report outcomes through per-job files written with the
-  atomic-replace idiom (exactly :func:`~repro.service.workers._supervised_entry`),
-  never through a worker-written pipe: a SIGKILL mid-job can tear a
-  pipe write and wedge the reader, while a missing outcome file plus a
-  dead process is an unambiguous crash.  The coordinator's dispatcher
-  thread polls outcome files and process liveness.
+  atomic-replace idiom (:func:`_run_to_outcome_file`), never through a
+  worker-written pipe: a SIGKILL mid-job can tear a pipe write and
+  wedge the reader, while a missing outcome file plus a dead process is
+  an unambiguous crash.  The coordinator's dispatcher thread polls
+  outcome files and process liveness.
 
-Failure semantics are identical to per-job supervised mode — the whole
-point, since the scheduler's retry/quarantine/breaker logic must not
-care which pool it drives:
+The fabric is the service's one supervised worker tier.  Its failure
+semantics are what the scheduler's retry/quarantine/breaker logic is
+written against:
 
 * clean simulation errors arrive as
   :class:`~repro.service.workers.JobExecutionError` with the original
@@ -41,14 +40,15 @@ care which pool it drives:
   :func:`~repro.service.workers.execute_job`, unchanged.  The
   coordinator additionally stamps each spec's chaos profile with the
   executing worker's name and per-worker job count, giving
-  :mod:`repro.faults.infra` a per-worker decision axis.
+  :mod:`repro.faults.infra` a per-worker decision axis.  A chaos kill
+  that has not fired when its job ends is disarmed, so it can never
+  land on the next job the persistent worker runs.
 
 Graceful drain (:meth:`FabricCoordinator.drain_worker`) decommissions
 one worker without dropping work: its backlog is redistributed to
 siblings, a drain sentinel follows the in-flight job, and the process
 exits after finishing it.  Worker names (``w0`` … ``wN``) are plain
-strings for the same reason store nodes are: nothing below the
-coordinator assumes they share a host.
+strings: nothing below the coordinator assumes they share a host.
 """
 
 from __future__ import annotations
@@ -65,9 +65,9 @@ import threading
 
 from concurrent.futures import Future
 
-from repro.experiments.parallel import CODE_WORKER_CRASHED
+from repro.failures import CODE_WORKER_CRASHED
 
-from .workers import JobExecutionError, WorkerCrashed, _supervised_entry
+from .workers import JobExecutionError, WorkerCrashed, execute_job
 
 __all__ = ["FABRIC_MODE", "FabricCoordinator"]
 
@@ -81,14 +81,33 @@ _POLL = 0.003
 _DRAIN_GRACE = 10.0
 
 
+def _run_to_outcome_file(spec: dict, outcome_path: str) -> None:
+    """Run one job and atomically persist its outcome.
+
+    The outcome file only ever appears complete (same-dir temp +
+    ``os.replace``), so the dispatcher can treat "process exited, no
+    outcome" as a crash with no torn-write ambiguity.  Clean exceptions
+    are persisted as ``("error", "TypeName: message")`` rather than
+    re-raised: a dying worker and a failing job must stay
+    distinguishable.
+    """
+    try:
+        outcome = execute_job(spec)
+    except Exception as exc:  # noqa: BLE001 - relay any simulation error
+        outcome = ("error", "%s: %s" % (type(exc).__name__, exc))
+    tmp = "%s.tmp.%d" % (outcome_path, os.getpid())
+    with open(tmp, "wb") as handle:
+        pickle.dump(outcome, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, outcome_path)
+
+
 def _fabric_worker_main(name: str, job_q, parent_pid: int) -> None:
     """Persistent worker loop: pull one job, run it, persist the outcome.
 
-    The outcome write is `_supervised_entry` — same atomic idiom, same
-    ``("error", "TypeName: message")`` relay for clean failures — so a
-    fabric worker is byte-for-byte the supervised execution path, just
-    long-lived.  The loop also watches its parent: an orphaned worker
-    (coordinator SIGKILLed) exits instead of idling forever.
+    The loop also watches its parent: an orphaned worker (coordinator
+    SIGKILLed) exits instead of idling forever.
     """
     while True:
         try:
@@ -100,7 +119,7 @@ def _fabric_worker_main(name: str, job_q, parent_pid: int) -> None:
         if message[0] == "drain":
             return
         _, spec, outcome_path = message
-        _supervised_entry(spec, outcome_path)
+        _run_to_outcome_file(spec, outcome_path)
 
 
 class _Pending:
@@ -140,23 +159,12 @@ class _WorkerCell:
 class FabricCoordinator:
     """Pool-protocol front end over N persistent worker processes."""
 
-    MODES = (FABRIC_MODE,)
-
-    def __init__(self, max_workers: int | None = None,
-                 mode: str = FABRIC_MODE, chaos: dict | None = None) -> None:
-        if mode != FABRIC_MODE:
-            raise ValueError("FabricCoordinator only runs mode=%r"
-                             % FABRIC_MODE)
+    def __init__(self, max_workers: int | None = None) -> None:
         if max_workers is None:
             max_workers = os.cpu_count() or 1
         if max_workers <= 0:
             raise ValueError("max_workers must be positive")
-        self.mode = FABRIC_MODE
         self.max_workers = int(max_workers)
-        #: Optional fabric-level chaos profile stamped into every spec's
-        #: ``chaos`` dict (test harness only): adds the executing
-        #: worker's name and job index as a seeded decision axis.
-        self.chaos = chaos
         self._scratch = tempfile.mkdtemp(prefix="repro-fabric-")
         self._lock = threading.Lock()
         self._wake = threading.Event()
@@ -264,8 +272,6 @@ class FabricCoordinator:
             if pending is None:
                 continue
             chaos = pending.spec.get("chaos")
-            if self.chaos is not None:
-                chaos = dict(self.chaos, **(chaos or {}))
             if chaos is not None:
                 chaos = dict(chaos, worker=cell.name,
                              worker_jobs=cell.jobs_done)
@@ -296,8 +302,7 @@ class FabricCoordinator:
                     continue
                 if not cell.process.is_alive():
                     # Died mid-job (chaos, the reaper's kill, a real
-                    # crash): the scheduler sees the same WorkerCrashed
-                    # a per-job supervised worker would raise.
+                    # crash): the scheduler sees a WorkerCrashed.
                     cell.inflight = None
                     self._fail_crashed(pending, cell)
                     if not self._closed and not cell.draining:

@@ -23,10 +23,9 @@ locks); blocking simulation work happens in the worker tier
    later *resumes from its snapshot* — the final result is
    digest-identical to an uninterrupted run (the PR-3 guarantee).
 6. **Retry** — worker failures and per-job timeouts are retried with
-   the jittered backoff shared with
-   :mod:`repro.experiments.parallel`; exhausted retries fail the job's
-   future with :class:`JobFailed` carrying the
-   :class:`~repro.experiments.parallel.JobFailure` record.
+   the jittered backoff of :mod:`repro.failures`; exhausted retries fail
+   the job's future with :class:`JobFailed` carrying the
+   :class:`~repro.failures.JobFailure` record.
 7. **Completion** — results are written back to the store (atomic,
    content-addressed) and every joined future resolves.
 
@@ -40,7 +39,7 @@ worker, process, or store entry may die at any moment and the system
 recomputes and converges.  Three mechanisms turn that from a slogan
 into behaviour:
 
-* **Worker supervision** — under process workers with a
+* **Worker supervision** — under fabric workers with a
   ``stall_timeout``, every execution heartbeats into a per-digest file
   (:mod:`repro.service.workers`); a reaper task kills + requeues any
   worker whose heartbeat goes silent past the stall window.  This is a
@@ -55,7 +54,7 @@ into behaviour:
   retry budget is never burned on it again.
 * **Circuit breaker** — ``breaker_threshold`` consecutive
   infrastructure failures (taxonomy codes in
-  :data:`~repro.experiments.parallel.INFRASTRUCTURE_CODES`) open the
+  :data:`~repro.failures.INFRASTRUCTURE_CODES`) open the
   breaker: sweep-class submissions are shed with
   :class:`ServiceDegraded` while interactive requests keep flowing.
   After ``breaker_cooldown`` seconds a sweep submission is admitted as
@@ -81,7 +80,7 @@ import time as _time
 from dataclasses import dataclass, field
 
 from repro import perf
-from repro.experiments.parallel import (
+from repro.failures import (
     CODE_SIM_ERROR,
     CODE_TIMEOUT,
     CODE_WORKER_CRASHED,
@@ -98,7 +97,6 @@ from repro.service.request import (
     request_digest,
 )
 from repro.service.fabric import FABRIC_MODE, FabricCoordinator
-from repro.service.shardmap import open_store
 from repro.service.store import ResultStore, atomic_write_json
 from repro.service.workers import (
     JobExecutionError,
@@ -130,6 +128,9 @@ __all__ = [
 #: Not an infrastructure code: expired deadlines are the *caller's*
 #: budget running out, so they never trip the circuit breaker.
 CODE_DEADLINE = "deadline_expired"
+
+#: The worker tiers: in-process threads, or the supervised fabric.
+_WORKER_MODES = ("thread", FABRIC_MODE)
 
 #: Filename (under the store root) the service persists its final
 #: status counters to at shutdown, for ``repro-serve status``.
@@ -629,25 +630,20 @@ class SimulationService:
     Parameters
     ----------
     store:
-        A :class:`ResultStore` (or
-        :class:`~repro.service.shardmap.ShardedResultStore`), a
-        directory path, or ``None`` to serve without a cache (dedup and
-        scheduling still apply).  A path whose root carries a
-        ``shardmap.json`` opens as a sharded store automatically.
+        A :class:`ResultStore`, a directory path, or ``None`` to serve
+        without a cache (dedup and scheduling still apply).
     max_workers / worker_mode:
-        Size and kind of the worker tier: ``"thread"``, ``"process"``
-        (one supervised process per job), or ``"fabric"`` (N persistent
-        pull-based worker processes behind a
-        :class:`~repro.service.fabric.FabricCoordinator` — same failure
-        taxonomy, amortised spawn and workload-build cost).
+        Size and kind of the worker tier: ``"thread"`` (in-process
+        threads) or ``"fabric"`` (N persistent, supervised, pull-based
+        worker processes behind a
+        :class:`~repro.service.fabric.FabricCoordinator`).
     max_pending:
         Bound on *queued* (not yet running) jobs; beyond it submissions
         raise :class:`QueueFull`.
     job_timeout / retries / backoff:
-        Per-execution wall-clock limit and retry policy (shared
-        semantics with :func:`repro.experiments.parallel.run_sweep`).
+        Per-execution wall-clock limit and retry policy.
     stall_timeout:
-        Heartbeat stall window for process workers: a worker whose
+        Heartbeat stall window for fabric workers: a worker whose
         heartbeat goes silent this long is killed and its job retried
         (code ``worker_stalled``).  Orthogonal to ``job_timeout`` — a
         worker making progress heartbeats forever; a wedged one is
@@ -686,8 +682,13 @@ class SimulationService:
         snapshot_every: int | None = None,
         snapshot_dir: str | None = None,
     ) -> None:
+        if worker_mode not in _WORKER_MODES:
+            raise ValueError(
+                "worker mode must be one of %s, got %r"
+                % (", ".join(_WORKER_MODES), worker_mode)
+            )
         if isinstance(store, str):
-            store = open_store(store)
+            store = ResultStore(store)
         self.store = store
         if max_pending <= 0:
             raise ValueError("max_pending must be positive")
@@ -719,12 +720,8 @@ class SimulationService:
         if worker_mode == FABRIC_MODE:
             self._pool = FabricCoordinator(max_workers=max_workers)
         else:
-            self._pool = WorkerPool(
-                max_workers=max_workers, mode=worker_mode
-            )
-        self._supervised = (
-            worker_mode in ("process", FABRIC_MODE) and stall_timeout
-        )
+            self._pool = WorkerPool(max_workers=max_workers)
+        self._supervised = worker_mode == FABRIC_MODE and stall_timeout
         self._hb_dir = None
         if self._supervised:
             # Heartbeats are transient runtime state, never persisted
@@ -1201,7 +1198,7 @@ class SimulationService:
                     else:
                         error = "timed out after %.1fs" % timeout
                         code = CODE_TIMEOUT
-                    # A timed-out process worker is killed, not leaked:
+                    # A timed-out fabric worker is killed, not leaked:
                     # its tardy result must never land, and its seat
                     # frees immediately.  (Thread workers cannot be
                     # killed; their results are simply discarded.)

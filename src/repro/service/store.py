@@ -77,7 +77,7 @@ _HEXDIGITS = set("0123456789abcdef")
 QUARANTINE_DIRNAME = "quarantine"
 
 # Failure-taxonomy codes for store-entry damage (the store-side half of
-# the taxonomy in :mod:`repro.experiments.parallel`).
+# the taxonomy in :mod:`repro.failures`).
 CODE_UNREADABLE = "unreadable"
 CODE_BAD_ENVELOPE = "bad_envelope"
 CODE_VERSION_MISMATCH = "version_mismatch"

@@ -131,6 +131,34 @@ class TestCoordinator:
         finally:
             fabric.shutdown()
 
+    def test_unfired_chaos_kill_does_not_outlive_its_job(self):
+        # Job A's chaos decision is a kill 0.5 s in, but A (on a warm
+        # image) finishes long before that.  The persistent worker then
+        # runs B, which has no chaos at all and spends longer than that
+        # building a fresh image: the kill must have been disarmed with
+        # A, not land on B.
+        fabric = FabricCoordinator(max_workers=1)
+        try:
+            assert _wait(fabric.submit(_spec(_request()))) is not None
+            pid = fabric.workers()[0]["pid"]
+            job_a = _spec(_request())
+            job_a["chaos"] = {
+                "seed": 0, "kill_rate": 1.0, "kill_delay": (0.5, 0.5),
+            }
+            armed_at = time.monotonic()
+            assert _wait(fabric.submit(job_a)) is not None
+            assert time.monotonic() - armed_at < 0.5, "A outran its kill"
+            job_b = fabric.submit(
+                _spec(_request(benchmark="b2b", scale=0.03, seed=5))
+            )
+            assert _wait(job_b)[0] == "done"
+            time.sleep(max(0.0, armed_at + 0.7 - time.monotonic()))
+            assert fabric.respawns == 0
+            assert fabric.workers()[0]["pid"] == pid
+            assert fabric.live_workers() == 1
+        finally:
+            fabric.shutdown()
+
     def test_shutdown_fails_stranded_futures(self):
         fabric = FabricCoordinator(max_workers=1)
         stuck = fabric.submit(_spec(_request(mode="timing", scale=0.05)))
@@ -170,11 +198,8 @@ class TestFabricThroughScheduler:
         assert status.completed == len(requests)
         assert status.worker_mode == "fabric"
 
-    def test_fabric_with_sharded_store_serves_cache_hits(self, tmp_path):
-        from repro.service.shardmap import ShardedResultStore
-
+    def test_fabric_second_run_serves_cache_hits(self, tmp_path):
         requests = [_request(seed=seed) for seed in range(1, 4)]
-        ShardedResultStore(str(tmp_path), nodes=2, replication=2)
 
         async def run_twice():
             service = SimulationService(

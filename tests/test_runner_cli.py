@@ -119,20 +119,15 @@ class _Rendered:
         return self.text
 
 
-def _failing_job(job):
-    raise RuntimeError("boom")
-
-
 def _fake_partial_run(seed=1, scale=None):
-    """A sweep whose only job always fails: survivors=0, one JobFailure."""
-    from repro.experiments.parallel import run_sweep
+    """A sweep with one unknown benchmark: one survivor, one failure."""
+    from repro.experiments.common import timing_speedups
     from repro.params import MachineConfig
 
-    outcome = run_sweep(
-        MachineConfig(), ["b2b"], scale or 0.01, seed=seed,
-        processes=1, retries=1, backoff=0.0, job_runner=_failing_job,
+    speedups = timing_speedups(
+        MachineConfig(), ["b2b", "no-such-bench"], scale or 0.01, seed=seed
     )
-    return _Rendered("survivors: %d" % len(outcome.speedups))
+    return _Rendered("survivors: %d" % len(speedups))
 
 
 def _fake_timing_run(seed=1, scale=None):
@@ -156,12 +151,34 @@ class TestExitCodes:
 
     def test_partial_sweep_exit_code_and_summary(self, tmp_path, capsys):
         out_file = tmp_path / "results.txt"
-        assert main(["failsweep", "--out", str(out_file)]) == EXIT_PARTIAL
+        assert main([
+            "failsweep", "--out", str(out_file),
+            "--service-store", str(tmp_path / "cache"),
+        ]) == EXIT_PARTIAL
         out = capsys.readouterr().out
+        assert "survivors: 1" in out
         assert "partial: 1 job failed" in out
-        assert "b2b: RuntimeError: boom (after 2 attempts)" in out
+        summary = [line for line in out.splitlines()
+                   if line.startswith("  no-such-bench: ")]
+        assert len(summary) == 1
+        assert "unknown benchmark" in summary[0]
+        assert summary[0].endswith("(after 2 attempts)")
         # The failure summary also lands in the --out file.
         assert "partial: 1 job failed" in out_file.read_text()
+
+    def test_resume_reruns_a_partial_experiment(self, tmp_path, capsys):
+        out_file = tmp_path / "results.txt"
+        argv = ["failsweep", "--out", str(out_file), "--resume",
+                "--service-store", str(tmp_path / "cache")]
+        assert main(argv) == EXIT_PARTIAL
+        capsys.readouterr()
+        # The partial experiment was not checkpointed: the resumed run
+        # recomputes it, and its failed cell fails again.
+        assert main(argv) == EXIT_PARTIAL
+        out = capsys.readouterr().out
+        assert "skipped" not in out
+        assert "survivors: 1" in out
+        assert "partial: 1 job failed" in out
 
     def test_clean_run_with_snapshots(self, tmp_path, capsys):
         snapdir = tmp_path / "snaps"

@@ -6,6 +6,7 @@ backpressure, priority boosts, retry-then-fail, and shutdown draining.
 """
 
 import asyncio
+import threading
 
 import pytest
 
@@ -336,12 +337,12 @@ class TestClientSession:
         async def scenario():
             service = SimulationService(str(tmp_path / "cache"))
             speedups = await sweep_speedups(
-                service, config, ["b2c"], SCALE,
+                service, config, ["b2c"], SCALE, failures={},
             )
             # A second configuration reuses the cached baseline cell.
             speedups2 = await sweep_speedups(
                 service, config.with_content(depth_threshold=5),
-                ["b2c"], SCALE,
+                ["b2c"], SCALE, failures={},
             )
             status = service.status()
             await service.shutdown()
@@ -366,6 +367,132 @@ class TestClientSession:
         assert set(speedups) == {"b2c"}
         assert status.submitted == 2  # baseline + enhanced, via the service
         assert common._SPEEDUP_PROVIDER is None  # uninstalled on close
+
+
+class TestSessionSweep:
+    """``ServiceSession.speedups`` is the runner's one sweep executor."""
+
+    def test_matches_serial_results(self, tmp_path):
+        from repro.experiments.common import model_machine, timing_speedups
+
+        config = model_machine()
+        serial = timing_speedups(config, ("b2c", "rc3"), scale=0.01, seed=2)
+        with ServiceSession(
+            store_dir=str(tmp_path / "cache"), max_workers=2
+        ) as session:
+            served = session.speedups(
+                config, ("b2c", "rc3"), scale=0.01, seed=2
+            )
+        assert served == serial
+        assert session.failures == []
+
+    def test_custom_baseline_config(self, tmp_path):
+        from repro.experiments.common import model_machine
+
+        config = model_machine()
+        with ServiceSession(store_dir=str(tmp_path / "cache")) as session:
+            same = session.speedups(
+                config, ("b2c",), scale=0.01, baseline_config=config
+            )
+        assert same["b2c"] == pytest.approx(1.0)
+
+    def test_failing_cell_does_not_kill_the_sweep(self, tmp_path):
+        with ServiceSession(
+            store_dir=str(tmp_path / "cache"), retries=1, backoff=0.01
+        ) as session:
+            speedups = session.speedups(
+                MachineConfig(), ("b2c", "no-such-bench"), scale=SCALE
+            )
+        assert set(speedups) == {"b2c"}
+        assert len(session.failures) == 1
+        failure = session.failures[0]
+        assert failure.benchmark == "no-such-bench"
+        assert "unknown benchmark" in failure.error
+        assert failure.attempts == 2  # initial try + one retry
+        assert failure.code == "sim_error"
+        assert not failure.infrastructure
+
+    def test_single_worker_records_failures_too(self, tmp_path):
+        with ServiceSession(
+            store_dir=str(tmp_path / "cache"), max_workers=1, retries=0
+        ) as session:
+            speedups = session.speedups(
+                MachineConfig(), ("no-such-bench", "b2c"), scale=SCALE
+            )
+        assert set(speedups) == {"b2c"}
+        assert speedups["b2c"] > 0
+        [failure] = session.failures
+        assert failure.benchmark == "no-such-bench"
+        assert "unknown benchmark" in failure.error
+        assert failure.attempts == 1
+
+    def test_all_benchmarks_surviving_is_complete(self, tmp_path):
+        with ServiceSession(
+            store_dir=str(tmp_path / "cache"), max_workers=2
+        ) as session:
+            speedups = session.speedups(
+                MachineConfig(), ("b2c", "rc3"), scale=SCALE
+            )
+        assert set(speedups) == {"b2c", "rc3"}
+        assert session.failures == []
+
+    def test_hanging_cell_times_out_and_survivors_complete(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import workers
+
+        release = threading.Event()
+        execute_job = workers.execute_job
+
+        def hang_on_b2b(spec):
+            if spec["benchmark"] == "b2b":
+                release.wait(60)
+                raise RuntimeError("hung job released")
+            return execute_job(spec)
+
+        monkeypatch.setattr(workers, "execute_job", hang_on_b2b)
+        with ServiceSession(
+            store_dir=str(tmp_path / "cache"), max_workers=2,
+            job_timeout=0.5, retries=0,
+        ) as session:
+            try:
+                speedups = session.speedups(
+                    MachineConfig(), ("b2c", "b2b"), scale=SCALE
+                )
+            finally:
+                release.set()
+        assert set(speedups) == {"b2c"}
+        [failure] = session.failures
+        assert failure.benchmark == "b2b"
+        assert failure.timed_out
+        assert "timed out" in failure.error
+        assert failure.code == "timeout"
+        assert failure.infrastructure
+
+    def test_failed_cell_is_not_resubmitted_by_later_configs(
+        self, tmp_path
+    ):
+        config = MachineConfig()
+        with ServiceSession(
+            store_dir=str(tmp_path / "cache"), retries=1, backoff=0.01
+        ) as session:
+            first = session.speedups(
+                config, ("b2c", "no-such-bench"), scale=SCALE
+            )
+            second = session.speedups(
+                config.with_content(depth_threshold=5),
+                ("b2c", "no-such-bench"), scale=SCALE,
+            )
+            status = session.status()
+        assert set(first) == set(second) == {"b2c"}
+        # One failed cell, listed once, though two configurations hit it.
+        [failure] = session.failures
+        assert failure.benchmark == "no-such-bench"
+        assert failure.attempts == 2
+        assert session.left_out == 2
+        # 4 cells for the first config; the second skips the failed
+        # benchmark and submits only b2c's baseline and enhanced cells.
+        assert status.submitted == 6
 
 
 class TestRetryAfterHint:

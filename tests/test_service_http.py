@@ -219,16 +219,33 @@ class TestFailureTaxonomyOverHTTP:
 
 
 class TestTypedBackpressure:
-    def test_queue_full_is_429_with_retry_after(self, tmp_path):
+    def test_queue_full_is_429_with_retry_after(self, tmp_path, monkeypatch):
+        from repro.service import workers
+
+        # Hold the one worker until the rejection is in: a tiny job on a
+        # warm image can otherwise finish between two submissions and
+        # leave the queue with room.
+        release = threading.Event()
+        execute_job = workers.execute_job
+
+        def held_execute_job(spec):
+            release.wait(60)
+            return execute_job(spec)
+
+        monkeypatch.setattr(workers, "execute_job", held_execute_job)
+
         async def scenario():
             service, server = await _serving(
                 tmp_path, max_workers=1, max_pending=1
             )
             client = AsyncServiceClient(port=server.port)
-            await client.submit(_request(seed=1))  # running
-            await client.submit(_request(seed=2))  # queued (fills the queue)
-            with pytest.raises(ServiceHTTPError) as excinfo:
-                await client.submit(_request(seed=3))
+            try:
+                await client.submit(_request(seed=1))  # running
+                await client.submit(_request(seed=2))  # queued (fills it)
+                with pytest.raises(ServiceHTTPError) as excinfo:
+                    await client.submit(_request(seed=3))
+            finally:
+                release.set()
             # Drain so shutdown doesn't cancel running work.
             await client.run(_request(seed=1))
             await client.run(_request(seed=2))

@@ -1,7 +1,7 @@
-"""Supervised process workers: crashes, stalls, quarantine, breaker.
+"""Supervised fabric workers: crashes, stalls, quarantine, breaker.
 
-Every test drives *real* worker processes (fork-started, tiny
-functional workloads) through the scheduler with seeded chaos from
+Every test drives *real* fabric worker processes (tiny functional
+workloads) through the scheduler with seeded chaos from
 repro.faults.infra — no mocked deaths.  A SIGKILLed worker here
 genuinely dies; the assertions are about what the service does next:
 retry with the right taxonomy code, quarantine poison jobs, shed sweep
@@ -14,10 +14,7 @@ import os
 
 import pytest
 
-from repro.experiments.parallel import (
-    CODE_WORKER_CRASHED,
-    CODE_WORKER_STALLED,
-)
+from repro.failures import CODE_WORKER_CRASHED, CODE_WORKER_STALLED
 from repro.faults.infra import InfraChaosConfig
 from repro.params import MachineConfig
 from repro.service import (
@@ -27,9 +24,7 @@ from repro.service import (
     ServiceDegraded,
     SimRequest,
     SimulationService,
-    WorkerCrashed,
 )
-from repro.service.workers import WorkerPool, make_job_spec
 
 SCALE = 0.02
 POISON_SEED = 7  # any seed listed in kill_seeds dies on every attempt
@@ -50,7 +45,7 @@ def _drive(coroutine):
 
 def _service(store_dir, **kwargs):
     defaults = dict(
-        max_workers=1, worker_mode="process", retries=4,
+        max_workers=1, worker_mode="fabric", retries=4,
         stall_timeout=2.0, breaker_threshold=None,
     )
     defaults.update(kwargs)
@@ -69,27 +64,15 @@ class TestSupervisedPool:
             await service.shutdown()
             return result
 
-        by_process = _drive(scenario("process"))
+        by_process = _drive(scenario("fabric"))
         by_thread = _drive(scenario("thread"))
         assert by_process == by_thread
 
-    def test_killed_worker_raises_worker_crashed(self):
-        pool = WorkerPool(max_workers=1, mode="process")
-        try:
-            # A job that takes long enough to be killed mid-flight.
-            spec = make_job_spec(_request(scale=0.2), "ab" * 16, None)
-            future = pool.submit(spec)
-            # Wait until the process exists, then kill it.
-            deadline = 50
-            while pool.live_workers() == 0 and deadline:
-                deadline -= 1
-                asyncio.run(asyncio.sleep(0.05))
-            assert pool.kill("ab" * 16, CODE_WORKER_STALLED)
-            with pytest.raises(WorkerCrashed) as excinfo:
-                future.result(timeout=30)
-            assert excinfo.value.code == CODE_WORKER_STALLED
-        finally:
-            pool.shutdown(wait=False)
+    def test_per_job_process_mode_is_refused(self, tmp_path):
+        with pytest.raises(ValueError) as excinfo:
+            SimulationService(str(tmp_path), worker_mode="process")
+        assert "thread" in str(excinfo.value)
+        assert "fabric" in str(excinfo.value)
 
     def test_clean_exception_crosses_as_job_error_not_crash(self, tmp_path):
         async def scenario():
