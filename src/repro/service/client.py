@@ -62,7 +62,13 @@ from dataclasses import dataclass
 
 from repro.experiments import common as _common
 from repro.params import MachineConfig
-from repro.service.request import Priority, SimRequest, request_digest
+from repro.service.request import (
+    Priority,
+    SimRequest,
+    memoized,
+    parse_priority,
+    request_digest,
+)
 from repro.service.scheduler import JobFailed, SimulationService
 
 __all__ = [
@@ -473,9 +479,29 @@ def _expired(attempts: int) -> ServiceHTTPError:
 
 
 def _request_body(request: SimRequest, priority) -> bytes:
+    """The encoded ``POST /v1/jobs`` body, built once per request and class.
+
+    Memoized on the request, so a client re-sending one request (a sweep
+    re-reading a cell) reuses the bytes it sent before.
+    """
     from repro.service.http import request_to_wire
 
-    return json.dumps(request_to_wire(request, priority)).encode()
+    key = "wire:%s" % (
+        None if priority is None else parse_priority(priority).name
+    )
+    return memoized(
+        request, key,
+        lambda r: json.dumps(request_to_wire(r, priority)).encode(),
+    )
+
+
+def _encode_body(tree) -> bytes:
+    """Request body bytes: *tree* JSON-encoded, or passed through as is."""
+    if tree is None:
+        return b""
+    if isinstance(tree, bytes):
+        return tree
+    return json.dumps(tree).encode()
 
 
 def _decode_payload(payload: dict):
@@ -582,8 +608,9 @@ class AsyncServiceClient:
         keep-alive connection (legacy behavior).  With one, survives
         resets, corruption, stalls, and retryable statuses per the
         policy.  Raises :class:`ServiceHTTPError` for status >= 400.
+        *tree* is the JSON body, or its already-encoded bytes.
         """
-        body = json.dumps(tree).encode() if tree is not None else b""
+        body = _encode_body(tree)
         loop = asyncio.get_running_loop()
         budget = deadline if deadline is not None else self.deadline
         deadline_at = None if budget is None else loop.time() + budget
@@ -702,10 +729,8 @@ class AsyncServiceClient:
 
     async def submit(self, request: SimRequest, priority=None) -> dict:
         """``POST /v1/jobs``; returns the acceptance body (with digest)."""
-        from repro.service.http import request_to_wire
-
         _status, _headers, body = await self.request(
-            "POST", "/v1/jobs", request_to_wire(request, priority)
+            "POST", "/v1/jobs", _request_body(request, priority)
         )
         return body
 
@@ -928,7 +953,7 @@ class ServiceClient:
 
     def request(self, method: str, path: str, tree=None,
                 deadline: float | None = None):
-        body = json.dumps(tree).encode() if tree is not None else b""
+        body = _encode_body(tree)
         budget = deadline if deadline is not None else self.deadline
         deadline_at = None if budget is None else time.monotonic() + budget
 
@@ -1022,10 +1047,8 @@ class ServiceClient:
         return status, headers, parsed
 
     def submit(self, request: SimRequest, priority=None) -> dict:
-        from repro.service.http import request_to_wire
-
         _status, _headers, body = self.request(
-            "POST", "/v1/jobs", request_to_wire(request, priority)
+            "POST", "/v1/jobs", _request_body(request, priority)
         )
         return body
 

@@ -53,8 +53,10 @@ harness for all of it):
   an immediate 503 + ``Retry-After`` and are closed, so a connection
   flood degrades into polite backpressure instead of fd exhaustion;
 * **header/body read timeouts** — a peer that opens a connection and
-  trickles bytes (slowloris) is answered 408 and dropped; a fully idle
-  keep-alive connection is reclaimed quietly after the same window;
+  trickles bytes (slowloris) is answered 408 and dropped.
+  ``header_timeout`` bounds the whole header block, not each line, so a
+  trickle cannot stretch it; a fully idle keep-alive connection is
+  reclaimed quietly after the same window;
 * **per-token rate limiting** (``rate_limit`` requests/sec, token
   bucket with a burst allowance) wired into the existing typed-429 +
   ``Retry-After`` path — keyed by bearer token, or by peer address when
@@ -84,6 +86,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from collections import OrderedDict
 from dataclasses import fields
 
 from repro.core.results import FunctionalResult, TimingResult
@@ -116,6 +119,18 @@ __all__ = [
 #: Largest request body the server will read (a request JSON is a few
 #: hundred bytes; anything near this size is a client bug or abuse).
 MAX_BODY_BYTES = 1 << 20
+
+#: Entries in the server's parsed-body cache: raw ``POST /v1/jobs`` body
+#: bytes -> ``(SimRequest, asked priority)``.  A repeated body skips JSON
+#: decoding and request building and lands on a request whose digest and
+#: canonical tree are already memoized.  Sized for a sweep's working set
+#: of repeated cells, not for every request ever seen.
+PARSED_BODY_CACHE_SIZE = 64
+
+#: Bodies longer than this are parsed every time, never cached: a request
+#: JSON with a full machine config is about 1.5 KB, and the cache must
+#: not pin megabyte bodies.
+_MAX_CACHED_BODY = 16 << 10
 
 _SERVER_NAME = "repro-serve"
 _ACCT_FIELDS = ("stride", "content", "markov")
@@ -236,9 +251,9 @@ async def _read_request(reader, max_body: int,
     ``None`` means the peer closed the connection between requests (or
     went silent before sending a request line) — the normal end of a
     keep-alive session, not an error.  Once a request line has arrived,
-    a peer that stalls mid-headers or mid-body past the corresponding
-    timeout gets a typed 408 — the slowloris answer.  ``target`` keeps
-    its query string; the dispatcher splits it.
+    a peer whose header block or body is not complete within the
+    corresponding timeout gets a typed 408 — the slowloris answer.
+    ``target`` keeps its query string; the dispatcher splits it.
     """
 
     async def timed(coroutine, timeout, what):
@@ -272,20 +287,24 @@ async def _read_request(reader, max_body: int,
         method, target, _version = line.decode("latin-1").split()
     except ValueError:
         raise HttpError(400, "malformed request line", "bad_request")
-    headers = {}
-    for _ in range(MAX_HEADER_LINES):
-        try:
-            line = await timed(
-                reader.readline(), header_timeout, "header read"
-            )
-        except (ConnectionError, asyncio.IncompleteReadError):
-            return None
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    else:
+
+    async def read_headers():
+        headers = {}
+        for _ in range(MAX_HEADER_LINES):
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                return headers
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
         raise HttpError(400, "too many header lines", "bad_request")
+
+    # One deadline for the whole header block: a per-line timeout would
+    # let a peer trickling one line just inside it hold the connection
+    # for MAX_HEADER_LINES windows.
+    try:
+        headers = await timed(read_headers(), header_timeout, "header read")
+    except (ConnectionError, asyncio.IncompleteReadError):
+        return None
     try:
         length = int(headers.get("content-length", "0"))
     except ValueError:
@@ -404,6 +423,7 @@ class ServiceHTTPServer:
         self._started = 0.0
         self._draining = False
         self._buckets: dict = {}  # rate-limit key -> (tokens, stamp)
+        self._parsed: OrderedDict = OrderedDict()  # body -> (request, asked)
         self._http_counts: dict = {}  # (method, status) -> count
         #: Hardening event counters, exported by :meth:`render_metrics`.
         self._hardening = {
@@ -655,8 +675,17 @@ class ServiceHTTPServer:
 
     # -- endpoint handlers ---------------------------------------------------
 
-    def _submit(self, body: bytes, token_priority: Priority | None,
-                deadline: float | None = None):
+    def _parse_submission(self, body: bytes):
+        """``(request, asked priority)`` for a POST body, or a typed 400.
+
+        Successful parses are kept in a bounded LRU keyed by the raw
+        bytes (:data:`PARSED_BODY_CACHE_SIZE`); failures are never
+        cached, so a bad body gets its 400 on every submission.
+        """
+        parsed = self._parsed.get(body)
+        if parsed is not None:
+            self._parsed.move_to_end(body)
+            return parsed
         try:
             data = json.loads(body.decode() or "null")
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -670,6 +699,16 @@ class ServiceHTTPServer:
             asked = parse_priority(data.get("priority", "sweep"))
         except ValueError as exc:
             raise HttpError(400, str(exc), "bad_request")
+        parsed = (request, asked)
+        if len(body) <= _MAX_CACHED_BODY:
+            self._parsed[body] = parsed
+            if len(self._parsed) > PARSED_BODY_CACHE_SIZE:
+                self._parsed.popitem(last=False)
+        return parsed
+
+    def _submit(self, body: bytes, token_priority: Priority | None,
+                deadline: float | None = None):
+        request, asked = self._parse_submission(body)
         # The effective class is the weaker of (token class, asked class):
         # tokens grant a ceiling, never an escalation.
         priority = asked if token_priority is None else \

@@ -21,6 +21,15 @@ other.
   simulator change alters what any request would compute — every old
   cache entry then misses instead of serving stale numbers (the
   invalidation rule documented in EXPERIMENTS.md).
+
+A request is frozen all the way down (every machine component is a
+frozen dataclass), so its derived forms never change: the tree and the
+digest are computed once per instance and kept in a private memo
+(:func:`memoized`).  The memo is not a field — equality, hashing,
+``repr`` and :func:`dataclasses.replace` never see it — and it is
+dropped on pickling and copying, so a request shipped to another
+process recomputes its forms rather than carrying a memo it did not
+derive.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ __all__ = [
     "Priority",
     "SimRequest",
     "canonical_request_tree",
+    "memoized",
     "request_digest",
     "request_from_fingerprint",
 ]
@@ -48,6 +58,9 @@ __all__ = [
 RESULT_SCHEMA_VERSION = 1
 
 _MODES = ("timing", "functional")
+
+#: Instance attribute holding a request's memo of derived forms.
+_MEMO = "_memo"
 
 
 class Priority(enum.IntEnum):
@@ -93,6 +106,13 @@ class SimRequest:
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
 
+    def __getstate__(self) -> dict:
+        # The memo never crosses a pickle or a copy: whoever receives the
+        # request derives its forms afresh.
+        state = dict(self.__dict__)
+        state.pop(_MEMO, None)
+        return state
+
     def with_machine(self, machine: MachineConfig) -> "SimRequest":
         return replace(self, machine=machine)
 
@@ -133,8 +153,20 @@ class SimRequest:
         )
 
 
-def canonical_request_tree(request: SimRequest) -> dict:
-    """The normalized tree :func:`request_digest` hashes (see module docs)."""
+def memoized(request: SimRequest, key: str, build):
+    """``build(request)``, computed once per request instance under *key*.
+
+    The value is shared by every later caller, so it must be immutable
+    or treated as read-only.
+    """
+    # Through __dict__, not setattr: the dataclass is frozen.
+    memo = request.__dict__.setdefault(_MEMO, {})
+    if key not in memo:
+        memo[key] = build(request)
+    return memo[key]
+
+
+def _build_tree(request: SimRequest) -> dict:
     return {
         "schema": RESULT_SCHEMA_VERSION,
         "machine": canonical_machine_dict(request.machine),
@@ -146,9 +178,21 @@ def canonical_request_tree(request: SimRequest) -> dict:
     }
 
 
+def canonical_request_tree(request: SimRequest) -> dict:
+    """The normalized tree :func:`request_digest` hashes (see module docs).
+
+    Memoized on *request*: every call returns the same dict, so callers
+    must treat it as **read-only** (copy before changing anything).
+    """
+    return memoized(request, "tree", _build_tree)
+
+
 def request_digest(request: SimRequest) -> str:
     """Hex content address of *request* (32 hex chars, blake2b-128)."""
-    return state_digest(canonical_request_tree(request))
+    return memoized(
+        request, "digest",
+        lambda r: state_digest(canonical_request_tree(r)),
+    )
 
 
 def request_from_fingerprint(fingerprint: dict) -> SimRequest:

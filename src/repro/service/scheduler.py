@@ -904,6 +904,10 @@ class SimulationService:
             raise ServiceClosed("service is shut down; submission refused")
         priority = Priority(priority)
         loop = asyncio.get_running_loop()
+        # Both forms are memoized on the request: the digest, the store's
+        # fingerprint check here and the store put on completion all
+        # share one canonical tree, built at most once per instance.
+        fingerprint = canonical_request_tree(request)
         digest = request_digest(request)
         self._stats.submitted += 1
         if deadline is not None and deadline <= 0:
@@ -945,9 +949,7 @@ class SimulationService:
             return existing
 
         if self.store is not None:
-            cached = self.store.get(
-                digest, fingerprint=canonical_request_tree(request)
-            )
+            cached = self.store.get(digest, fingerprint=fingerprint)
             if cached is not None:
                 self._stats.cache_hits += 1
                 perf.counter("service.cache_hit")

@@ -211,6 +211,43 @@ class TestSlowlorisTimeouts:
         assert _body_of(raw)["code"] == "request_timeout"
         assert "repro_service_http_request_timeouts_total 1" in metrics
 
+    def test_trickled_headers_get_408(self, tmp_path):
+        # Each header line arrives well inside header_timeout, but the
+        # block as a whole does not: the timeout bounds the block, so a
+        # trickle cannot hold the connection for many windows.
+        async def scenario():
+            service, server = await _serving(
+                tmp_path, header_timeout=0.5, body_timeout=0.5
+            )
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+
+            async def trickle():
+                writer.write(b"GET /health HTTP/1.1\r\n")
+                for index in range(20):
+                    await asyncio.sleep(0.1)
+                    writer.write(b"X-Trickle-%d: 1\r\n" % index)
+                    await writer.drain()
+                writer.write(b"\r\n")
+                await writer.drain()
+
+            sender = asyncio.ensure_future(trickle())
+            loop = asyncio.get_running_loop()
+            begin = loop.time()
+            raw = await asyncio.wait_for(reader.read(65536), 5.0)
+            elapsed = loop.time() - begin
+            sender.cancel()
+            await asyncio.gather(sender, return_exceptions=True)
+            writer.close()
+            await _teardown(service, server)
+            return raw, elapsed
+
+        raw, elapsed = _drive(scenario())
+        assert _status_of(raw) == 408
+        assert _body_of(raw)["code"] == "request_timeout"
+        assert elapsed < 1.5  # answered near one window, not after 20 lines
+
     def test_idle_connection_is_closed_quietly(self, tmp_path):
         async def scenario():
             service, server = await _serving(

@@ -5,7 +5,10 @@ machine configuration survives any dump/load round trip with its digest
 intact — ``digest(load(dump(params))) == digest(params)``.
 """
 
+import dataclasses
 import json
+import pickle
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +30,7 @@ from repro.service.request import (
     parse_priority,
     request_digest,
 )
+from repro.snapshot.digest import state_digest
 
 
 def _request(machine=None, **kwargs):
@@ -106,6 +110,76 @@ class TestRoundTripProperty:
         request = _request(machine=config)
         roundtripped = _request(machine=load_machine_config(str(path)))
         assert request_digest(roundtripped) == request_digest(request)
+
+
+def _equal_fresh(request):
+    """A new, never-digested request equal to *request*."""
+    return SimRequest(**{
+        field.name: getattr(request, field.name)
+        for field in dataclasses.fields(request)
+    })
+
+
+def _only_fields(request) -> bool:
+    """True when the instance carries nothing but its dataclass fields."""
+    return set(vars(request)) == {
+        field.name for field in dataclasses.fields(request)
+    }
+
+
+class TestMemoizedForms:
+    """The per-request memo of the tree and digest is safe to share."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(request=requests)
+    def test_memo_matches_a_fresh_tree_and_stays_invisible(self, request):
+        plain = _equal_fresh(request)
+        digest = request_digest(request)
+        assert request_digest(request) == digest
+        assert canonical_request_tree(request) is canonical_request_tree(
+            request
+        )
+        fresh = _equal_fresh(request)
+        assert state_digest(canonical_request_tree(fresh)) == digest
+        # Invisible to equality, hashing and repr.
+        assert request == plain and hash(request) == hash(plain)
+        assert repr(request) == repr(plain)
+
+    @settings(max_examples=40, deadline=None)
+    @given(request=requests)
+    def test_pickle_and_replace_carry_no_stale_memo(self, request):
+        digest = request_digest(request)
+        for copied in (pickle.loads(pickle.dumps(request)),
+                       dataclasses.replace(request)):
+            assert copied == request
+            assert _only_fields(copied)
+            assert request_digest(copied) == digest
+        moved = dataclasses.replace(request, seed=request.seed + 1)
+        assert _only_fields(moved)
+        assert request_digest(moved) == state_digest(
+            canonical_request_tree(_equal_fresh(moved))
+        )
+        assert request_digest(moved) != digest
+
+    @settings(max_examples=20, deadline=None)
+    @given(request=requests)
+    def test_store_round_trip_leaves_the_shared_tree_intact(self, request):
+        from repro.core.results import FunctionalResult
+        from repro.service.store import ResultStore
+
+        digest = request_digest(request)
+        with tempfile.TemporaryDirectory() as directory:
+            store = ResultStore(directory)
+            store.put(digest, FunctionalResult(name="x"),
+                      fingerprint=canonical_request_tree(request))
+            got = store.get(digest,
+                            fingerprint=canonical_request_tree(request))
+            with open(store.path(digest), "rb") as handle:
+                stored = pickle.load(handle)["fingerprint"]
+        fresh = canonical_request_tree(_equal_fresh(request))
+        assert got is not None and got.name == "x"
+        assert stored == fresh
+        assert canonical_request_tree(request) == fresh
 
 
 class TestNormalization:

@@ -461,3 +461,158 @@ class TestLoadGenerator:
         assert report["errors"] == 0
         assert report["latency_seconds"]["p95"] >= \
             report["latency_seconds"]["p50"] >= 0
+
+
+def _body(request, priority=None) -> bytes:
+    return json.dumps(request_to_wire(request, priority)).encode()
+
+
+class TestCachedPathCost:
+    def test_cached_round_trip_builds_no_config_trees(
+        self, tmp_path, monkeypatch
+    ):
+        # The cached read path derives each request's forms once: after a
+        # warm-up, a POST + result GET of the same request neither parses
+        # a machine config nor rebuilds its canonical dict.
+        import repro.configio
+        import repro.service.request
+
+        calls = {"canonical_machine_dict": 0, "machine_config_from_dict": 0}
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        for module in (repro.configio, repro.service.request):
+            for name in calls:
+                monkeypatch.setattr(
+                    module, name, counting(name, getattr(module, name))
+                )
+
+        async def scenario():
+            service, server = await _serving(tmp_path)
+            client = AsyncServiceClient(port=server.port)
+            await client.run(_request())  # warm-up: computes and caches
+            warm = dict(calls)
+            accepted = await client.submit(_request())
+            result = await client.result(accepted["digest"])
+            await _teardown(service, server, client)
+            return warm, accepted, result
+
+        warm, accepted, result = _drive(scenario())
+        assert warm["canonical_machine_dict"] > 0  # the counters do count
+        assert accepted["source"] == "cache"
+        assert result is not None
+        assert calls == warm
+
+
+class TestParsedBodyCache:
+    def test_bad_bodies_get_400_every_time_and_are_never_cached(
+        self, tmp_path
+    ):
+        bad = [b"{not json", b"[1, 2]",
+               json.dumps({"benchmark": "b2c", "scale": SCALE,
+                           "bogus": 1}).encode()]
+
+        async def scenario():
+            service, server = await _serving(tmp_path)
+            client = AsyncServiceClient(port=server.port)
+            statuses = []
+            for _ in range(3):
+                for body in bad:
+                    with pytest.raises(ServiceHTTPError) as rejected:
+                        await client.request("POST", "/v1/jobs", body)
+                    statuses.append(
+                        (rejected.value.status, rejected.value.code)
+                    )
+            cached = len(server._parsed)
+            await _teardown(service, server, client)
+            return statuses, cached
+
+        statuses, cached = _drive(scenario())
+        assert statuses == [(400, "bad_request")] * 9
+        assert cached == 0
+
+    def test_cache_stays_within_its_bound(self, tmp_path):
+        from repro.service.http import PARSED_BODY_CACHE_SIZE
+
+        async def scenario():
+            service, server = await _serving(tmp_path)
+            sizes = []
+            for seed in range(1, 3 * PARSED_BODY_CACHE_SIZE):
+                request, _asked = server._parse_submission(
+                    _body(_request(seed=seed))
+                )
+                assert request.seed == seed
+                sizes.append(len(server._parsed))
+            await _teardown(service, server)
+            return sizes
+
+        sizes = _drive(scenario())
+        assert max(sizes) == PARSED_BODY_CACHE_SIZE
+        assert sizes[-1] == PARSED_BODY_CACHE_SIZE
+
+    def test_oversized_body_is_parsed_but_not_cached(self, tmp_path):
+        from repro.service.http import _MAX_CACHED_BODY
+
+        # Valid JSON (trailing whitespace) just past the cacheable size.
+        body = _body(_request()) + b" " * _MAX_CACHED_BODY
+
+        async def scenario():
+            service, server = await _serving(tmp_path)
+            request, _asked = server._parse_submission(body)
+            cached = len(server._parsed)
+            await _teardown(service, server)
+            return request, cached
+
+        request, cached = _drive(scenario())
+        assert request == _request()
+        assert cached == 0
+
+    def test_priority_fields_are_not_conflated(self, tmp_path):
+        async def scenario():
+            service, server = await _serving(tmp_path)
+            client = AsyncServiceClient(port=server.port)
+            await client.run(_request())  # later submissions hit the cache
+            answers = []
+            for priority in ("interactive", "sweep", "interactive"):
+                _status, _headers, body = await client.request(
+                    "POST", "/v1/jobs", _body(_request(), priority)
+                )
+                answers.append(body["priority"])
+            cached = len(server._parsed)
+            await _teardown(service, server, client)
+            return answers, cached
+
+        answers, cached = _drive(scenario())
+        assert answers == ["interactive", "sweep", "interactive"]
+        assert cached == 3  # the warm-up body plus one per priority
+
+    def test_sweep_token_caps_a_cached_interactive_body(self, tmp_path):
+        tokens = {"tok-inter": Priority.INTERACTIVE,
+                  "tok-sweep": Priority.SWEEP}
+        body = _body(_request(), "interactive")
+
+        async def scenario():
+            service, server = await _serving(tmp_path, tokens=tokens)
+            interactive = AsyncServiceClient(port=server.port,
+                                             token="tok-inter")
+            await interactive.run(_request())
+            _status, _headers, granted = await interactive.request(
+                "POST", "/v1/jobs", body
+            )
+            sweeper = AsyncServiceClient(port=server.port, token="tok-sweep")
+            _status, _headers, capped = await sweeper.request(
+                "POST", "/v1/jobs", body
+            )
+            await sweeper.close()
+            in_cache = body in server._parsed
+            await _teardown(service, server, interactive)
+            return granted, capped, in_cache
+
+        granted, capped, in_cache = _drive(scenario())
+        assert in_cache
+        assert granted["priority"] == "interactive"
+        assert capped["priority"] == "sweep"
